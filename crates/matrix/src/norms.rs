@@ -1,7 +1,7 @@
 //! Matrix and vector norms, plus the paper's accuracy metric.
 
 use crate::dense::Matrix;
-use crate::error::Result;
+use crate::error::{MatrixError, Result};
 use crate::kernel::{self, notrans};
 
 impl Matrix {
@@ -41,11 +41,27 @@ pub fn vec_norm(v: &[f64]) -> f64 {
 
 /// The paper's Section 7.2 accuracy metric: the maximum absolute element of
 /// `I_n - M·M_inv`. The paper verifies this is below `1e-5` for its suite.
+///
+/// One pass over the product computes `δij − (M·M_inv)ij` element by
+/// element in row-major order and keeps the running maximum, so the result
+/// equals `(&Matrix::identity(n) - &prod).max_norm()` exactly without
+/// allocating either n×n matrix.
 pub fn inversion_residual(m: &Matrix, m_inv: &Matrix) -> Result<f64> {
     let n = m.order()?;
+    if m_inv.shape() != (n, n) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "inversion_residual",
+            lhs: m.shape(),
+            rhs: m_inv.shape(),
+        });
+    }
     let prod = kernel::mul(notrans(m), notrans(m_inv))?;
-    let residual = &Matrix::identity(n) - &prod;
-    Ok(residual.max_norm())
+    Ok(prod.row_iter().enumerate().fold(0.0_f64, |acc, (i, row)| {
+        row.iter().enumerate().fold(acc, |acc, (j, &p)| {
+            let delta = if i == j { 1.0 } else { 0.0 };
+            acc.max((delta - p).abs())
+        })
+    }))
 }
 
 #[cfg(test)]
@@ -104,5 +120,34 @@ mod tests {
     fn residual_requires_square() {
         let a = Matrix::zeros(2, 3);
         assert!(inversion_residual(&a, &a).is_err());
+        let b = Matrix::zeros(3, 2);
+        assert!(inversion_residual(&Matrix::identity(3), &b).is_err());
+    }
+
+    /// The formula the fused pass replaces.
+    fn materialised_residual(m: &Matrix, m_inv: &Matrix) -> Result<f64> {
+        let n = m.order()?;
+        let prod = kernel::mul(notrans(m), notrans(m_inv))?;
+        Ok((&Matrix::identity(n) - &prod).max_norm())
+    }
+
+    #[test]
+    fn fused_residual_equals_the_materialised_formula() {
+        for (n, seed) in [(1, 1), (2, 2), (7, 3), (33, 4), (96, 5)] {
+            let a = random_well_conditioned(n, seed);
+            let f = lu_decompose(&a).unwrap();
+            let l_inv = invert_lower(&f.unit_lower()).unwrap();
+            let u_inv = invert_upper(&f.upper()).unwrap();
+            let a_inv = f.perm.apply_cols(&(&u_inv * &l_inv));
+            let wrong = crate::random::random_matrix(n, n, seed + 100);
+            for inv in [&a_inv, &wrong, &Matrix::identity(n), &Matrix::zeros(n, n)] {
+                let fused = inversion_residual(&a, inv).unwrap();
+                let old = materialised_residual(&a, inv).unwrap();
+                assert_eq!(fused.to_bits(), old.to_bits(), "n={n}");
+            }
+        }
+        let rect = Matrix::zeros(2, 3);
+        assert!(inversion_residual(&rect, &rect).is_err());
+        assert!(materialised_residual(&rect, &rect).is_err());
     }
 }

@@ -46,6 +46,31 @@ proptest! {
     }
 
     #[test]
+    fn text_codec_round_trips_every_bit_pattern(
+        bits in prop::collection::vec(any::<u64>(), 1..48)
+    ) {
+        // Raw bit patterns, with a quarter forced subnormal and an eighth
+        // forced to a signed zero or infinity. Text spells every NaN the
+        // same way, so NaNs are canonicalised before the comparison.
+        const SIGN: u64 = 1 << 63;
+        const EXP: u64 = 0x7ff0_0000_0000_0000;
+        let vals: Vec<f64> = bits
+            .iter()
+            .map(|&b| match b % 8 {
+                0 | 1 => f64::from_bits(b & !EXP),
+                2 => f64::from_bits((b & SIGN) | if b & 8 == 0 { 0 } else { EXP }),
+                _ => f64::from_bits(b),
+            })
+            .map(|v| if v.is_nan() { f64::NAN } else { v })
+            .collect();
+        let m = Matrix::from_vec(1, vals.len(), vals).unwrap();
+        let back = decode_text(&encode_text(&m)).unwrap();
+        let want: Vec<u64> = m.as_slice().iter().map(|v| v.to_bits()).collect();
+        let got: Vec<u64> = back.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
     fn gemm_backends_agree_differentially(
         (m, k, n, s1, s2, s3, ta, tb, alpha, beta) in (
             1usize..48, 1usize..48, 1usize..48,
