@@ -11,9 +11,10 @@
 //! # Key semantics
 //!
 //! The key ([`cache_key`]) fingerprints everything that determines the
-//! factor bytes: the full matrix contents (bit-exact, via the binary
-//! codec), the block bound `nb`, the optimization toggles, and the
-//! cluster partition geometry (`m0`, `m_l`, `m_u`, block-wrap grid). It
+//! factor bytes: the full matrix contents (the `f64` bit patterns, hashed
+//! in place), the shape, the block bound `nb`, the optimization toggles,
+//! and the cluster partition geometry (`m0`, `m_l`, `m_u`, block-wrap
+//! grid). It
 //! deliberately **excludes** the run directory — unlike the checkpoint
 //! manifest's [`crate::run_fingerprint`], which includes `plan.root` so a
 //! resume can't restore another run's files, the cache exists precisely
@@ -26,7 +27,10 @@
 //! Entries reference DFS files; they do not own them. Every lookup
 //! re-validates that each referenced file still exists
 //! ([`FactorRef::paths`]) and drops the entry — a miss, counted as an
-//! invalidation — the moment any factor file was deleted.
+//! invalidation — the moment any factor file was deleted. A new entry
+//! evicts any other entry primed in the same run directory: that run
+//! overwrote the other entry's files, so existence alone would vouch for
+//! the wrong factors.
 //!
 //! # Accounting
 //!
@@ -35,13 +39,13 @@
 //! with an in-flight pipeline run must not perturb that run's delta-based
 //! [`crate::RunReport`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use mrinv_mapreduce::dfs::normalize_path;
 use mrinv_mapreduce::{Cluster, Dfs, Fingerprint, MrError};
-use mrinv_matrix::io::encode_binary;
 use mrinv_matrix::{Matrix, Permutation};
 use parking_lot::Mutex;
 
@@ -54,16 +58,18 @@ use crate::source::BlockIo;
 /// Cache key for a (matrix, config, cluster-geometry) triple.
 ///
 /// Reuses the manifest [`Fingerprint`] machinery but replaces the
-/// run-directory component with the full matrix bytes: the key must be
-/// identical across run directories and processes, and must change when
-/// any matrix entry, `nb`, optimization toggle, or partition-geometry
-/// parameter changes.
+/// run-directory component with a digest of the full matrix contents: the
+/// key must be identical across run directories and processes, and must
+/// change when any matrix entry, `nb`, optimization toggle, or
+/// partition-geometry parameter changes.
 pub fn cache_key(a: &Matrix, cfg: &InversionConfig, cluster: &Cluster) -> u64 {
     // The plan root does not affect geometry; an empty root keeps the key
     // workdir-independent.
     let plan = PartitionPlan::new(a.rows(), cluster, cfg, "");
     Fingerprint::new()
-        .push_bytes(&encode_binary(a))
+        .push_u64(matrix_digest(a.as_slice()))
+        .push_u64(a.rows() as u64)
+        .push_u64(a.cols() as u64)
         .push_u64(plan.n as u64)
         .push_u64(plan.nb as u64)
         .push_u64(plan.m0 as u64)
@@ -75,6 +81,42 @@ pub fn cache_key(a: &Matrix, cfg: &InversionConfig, cluster: &Cluster) -> u64 {
         .push_u64(cfg.opts.block_wrap as u64)
         .push_u64(cfg.opts.transpose_u as u64)
         .finish()
+}
+
+/// The xxHash64 primes, used as the digest's odd multipliers.
+const PRIME1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One digest step. It is a bijection of the state for a fixed word and
+/// of the word for a fixed state, so changing any single word always
+/// changes the lane it lands in; the rotation carries high bits (the
+/// sign) down into the bits later multiplies spread.
+#[inline]
+fn mix(state: u64, word: u64) -> u64 {
+    state
+        .wrapping_add(word.wrapping_mul(PRIME2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME1)
+}
+
+/// Digest of the entries' `f64` bit patterns, read in place one word at a
+/// time. Word `i` feeds lane `i % 4`; the four lanes are independent
+/// dependency chains, so the loop runs at memory speed instead of at the
+/// latency of one multiply per word.
+fn matrix_digest(vals: &[f64]) -> u64 {
+    let mut lanes = [PRIME1, PRIME2, !PRIME1, !PRIME2];
+    let mut quads = vals.chunks_exact(4);
+    for q in &mut quads {
+        for (lane, v) in lanes.iter_mut().zip(q) {
+            *lane = mix(*lane, v.to_bits());
+        }
+    }
+    for (lane, v) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = mix(*lane, v.to_bits());
+    }
+    lanes
+        .iter()
+        .fold(vals.len() as u64, |acc, &lane| mix(acc, lane))
 }
 
 /// Factors assembled into dense matrices, memoized per cache entry so a
@@ -108,7 +150,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to run the pipeline.
     pub misses: u64,
-    /// Entries dropped because a referenced DFS file disappeared.
+    /// Entries dropped because a referenced DFS file disappeared, or
+    /// because a later run reused their run directory.
     pub invalidations: u64,
 }
 
@@ -116,6 +159,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub(crate) struct CacheEntryView {
     pub(crate) nb: usize,
+    /// The inverse, only for lookups that asked for it.
     pub(crate) inverse: Option<Matrix>,
     pub(crate) workdir: String,
 }
@@ -213,47 +257,103 @@ impl FactorCache {
         let e = entries.get(&key).expect("validated above");
         Some(CacheEntryView {
             nb: e.nb,
-            inverse: e.inverse.clone(),
+            inverse: if need_inverse {
+                e.inverse.clone()
+            } else {
+                None
+            },
             workdir: e.workdir.clone(),
         })
     }
 
     /// Assembled `L`/`U`/`P` for a cached entry, memoized. Assembly runs
     /// outside the entry lock (uncounted reads), so concurrent first hits
-    /// may assemble twice; the first stored result wins.
+    /// may assemble twice; the first stored result wins. A read that fails
+    /// because the entry moved to a newer run mid-assembly (the service
+    /// prunes the files an upgraded entry stopped referencing) retries
+    /// against the new run's files.
     pub(crate) fn assembled(&self, key: u64, dfs: &Dfs) -> Result<Arc<AssembledFactors>> {
-        let factors = {
-            let entries = self.entries.lock();
-            let e = entries.get(&key).ok_or_else(|| {
-                CoreError::Invariant("factor cache entry vanished mid-request".to_string())
-            })?;
-            if let Some(a) = &e.assembled {
-                return Ok(a.clone());
+        loop {
+            let (factors, workdir) = {
+                let entries = self.entries.lock();
+                let e = entries.get(&key).ok_or_else(|| {
+                    CoreError::Invariant("factor cache entry vanished mid-request".to_string())
+                })?;
+                if let Some(a) = &e.assembled {
+                    return Ok(a.clone());
+                }
+                (e.factors.clone(), e.workdir.clone())
+            };
+            let mut io = UncountedIo { dfs };
+            let built = factors.assemble_l(&mut io).and_then(|l| {
+                Ok(AssembledFactors {
+                    l,
+                    u: factors.assemble_u(&mut io)?,
+                    perm: factors.perm(),
+                })
+            });
+            let mut entries = self.entries.lock();
+            let assembled = match built {
+                Ok(a) => Arc::new(a),
+                Err(err) => {
+                    if entries.get(&key).is_some_and(|e| e.workdir != workdir) {
+                        continue;
+                    }
+                    return Err(err);
+                }
+            };
+            if let Some(e) = entries.get_mut(&key) {
+                match &e.assembled {
+                    Some(existing) => return Ok(existing.clone()),
+                    None => e.assembled = Some(assembled.clone()),
+                }
             }
-            e.factors.clone()
-        };
-        let mut io = UncountedIo { dfs };
-        let l = factors.assemble_l(&mut io)?;
-        let u = factors.assemble_u(&mut io)?;
-        let assembled = Arc::new(AssembledFactors {
-            l,
-            u,
-            perm: factors.perm(),
-        });
-        let mut entries = self.entries.lock();
-        if let Some(e) = entries.get_mut(&key) {
-            match &e.assembled {
-                Some(existing) => return Ok(existing.clone()),
-                None => e.assembled = Some(assembled.clone()),
-            }
+            return Ok(assembled);
         }
-        Ok(assembled)
+    }
+
+    /// The DFS files the entry for `key` references (empty when there is
+    /// no entry).
+    pub(crate) fn factor_paths(&self, key: u64) -> Vec<String> {
+        self.entries
+            .lock()
+            .get(&key)
+            .map(|e| e.factors.paths())
+            .unwrap_or_default()
+    }
+
+    /// Deletes what the cold run that primed `key` left behind and the
+    /// entry does not reference: every file under the entry's run
+    /// directory outside its factor forest, plus those of `replaced` (the
+    /// paths the entry named before that run upgraded it) that it no
+    /// longer names. Returns how many files were deleted.
+    pub(crate) fn prune_run(&self, key: u64, replaced: &[String], dfs: &Dfs) -> usize {
+        let (workdir, keep) = {
+            let entries = self.entries.lock();
+            let Some(e) = entries.get(&key) else {
+                return 0;
+            };
+            let keep: BTreeSet<String> = e
+                .factors
+                .paths()
+                .iter()
+                .map(|p| normalize_path(p))
+                .collect();
+            (e.workdir.clone(), keep)
+        };
+        let replaced = replaced.iter().map(|p| normalize_path(p));
+        dfs.list(&workdir)
+            .into_iter()
+            .chain(replaced)
+            .filter(|p| !keep.contains(p) && dfs.delete(p))
+            .count()
     }
 
     /// Primes (or upgrades) the entry for `key` after a cold run. An
     /// existing entry keeps whatever the new run did not produce: an
     /// invert run adds the inverse to an entry primed by `lu`, and vice
-    /// versa.
+    /// versa. Any *other* entry primed in `workdir` is evicted: this run
+    /// overwrote its files.
     pub(crate) fn insert(
         &self,
         key: u64,
@@ -264,6 +364,13 @@ impl FactorCache {
         workdir: String,
     ) {
         let mut entries = self.entries.lock();
+        let before = entries.len();
+        entries.retain(|&k, e| k == key || e.workdir != workdir);
+        let evicted = before - entries.len();
+        if evicted > 0 {
+            self.invalidations
+                .fetch_add(evicted as u64, Ordering::Relaxed);
+        }
         match entries.get_mut(&key) {
             Some(e) => {
                 if inverse.is_some() {

@@ -2,21 +2,19 @@
 //!
 //! One [`ServiceClient`] owns one TCP connection and issues one request
 //! at a time (the protocol is strict request/response per connection);
-//! open several clients for concurrency. Matrices cross the wire through
-//! the binary codec, so results are bit-identical to running the same
+//! open several clients for concurrency. Matrices cross the wire as raw
+//! `f64` bit patterns, so results are bit-identical to running the same
 //! [`crate::Request`] in-process.
 
 use std::net::TcpStream;
 
-use mrinv_matrix::io::{decode_binary, encode_binary};
+use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_matrix::{Matrix, Permutation};
 
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::request::LuFactors;
-use crate::service::{
-    read_frame, write_frame, WireOp, WireRequest, WireResponse, TAG_REQUEST, TAG_RESPONSE,
-};
+use crate::service::{encode_request, WireOp, WireResponse, TAG_REQUEST, TAG_RESPONSE};
 
 /// What the server sent back for one request.
 #[derive(Debug, Clone)]
@@ -86,29 +84,19 @@ impl ServiceClient {
     ) -> Result<ServiceReply> {
         self.next_id += 1;
         let id = self.next_id;
-        let req = WireRequest {
-            tenant: self.tenant.clone(),
-            id,
-            op,
-            a: encode_binary(a).to_vec(),
-            rhs: rhs.to_vec(),
-            nb: cfg.nb as u64,
-            separate_intermediate_files: cfg.opts.separate_intermediate_files,
-            block_wrap: cfg.opts.block_wrap,
-            transpose_u: cfg.opts.transpose_u,
-        };
+        let body = encode_request(&self.tenant, id, op, a, rhs, cfg);
         let net = |what: &str, e: &dyn std::fmt::Display| {
             CoreError::Invariant(format!("service connection {what}: {e}"))
         };
-        write_frame(&mut self.stream, TAG_REQUEST, &bincode::serialize(&req))
-            .map_err(|e| net("send", &e))?;
+        write_frame(&mut self.stream, TAG_REQUEST, &body).map_err(|e| net("send", &e))?;
+        drop(body);
         let (tag, body) = read_frame(&mut self.stream).map_err(|e| net("recv", &e))?;
         if tag != TAG_RESPONSE {
             return Err(CoreError::Invariant(format!(
                 "expected a response frame, got tag {tag}"
             )));
         }
-        let resp = bincode::deserialize::<WireResponse>(&body)
+        let resp = WireResponse::decode(&body)
             .map_err(|e| CoreError::Invariant(format!("undecodable response: {e}")))?;
         if resp.id != id {
             return Err(CoreError::Invariant(format!(
@@ -127,22 +115,21 @@ impl ServiceClient {
 }
 
 fn decode_reply(resp: WireResponse) -> Result<ServiceReply> {
-    let inverse = if resp.inverse.is_empty() {
-        None
-    } else {
-        Some(decode_binary(&resp.inverse)?)
-    };
-    let factors = if resp.l.is_empty() {
-        None
-    } else {
-        Some(LuFactors {
-            l: decode_binary(&resp.l)?,
-            u: decode_binary(&resp.u)?,
+    let factors = match (resp.l, resp.u) {
+        (Some(l), Some(u)) => Some(LuFactors {
+            l,
+            u,
             perm: Permutation::from_vec(resp.perm.iter().map(|&s| s as usize).collect()),
-        })
+        }),
+        (None, None) => None,
+        _ => {
+            return Err(CoreError::Invariant(
+                "response carries only one of the L and U factors".to_string(),
+            ))
+        }
     };
     Ok(ServiceReply {
-        inverse,
+        inverse: resp.inverse,
         factors,
         solutions: resp.solutions,
         cache_hit: resp.cache_hit,

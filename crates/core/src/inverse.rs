@@ -54,11 +54,17 @@ pub fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
         .finish()
 }
 
-/// A per-cluster run directory for unpinned requests: distinct across
-/// consecutive runs on the same cluster (the DFS file count only grows),
-/// deterministic given the cluster state.
+/// A per-cluster run directory for unpinned requests: `mrinv/run-{k}` for
+/// the first `k` from the DFS file count up whose directory holds no file,
+/// deterministic given the cluster state. Without deletions the count
+/// only grows, so the first candidate is always free; after a deletion
+/// the count can fall back onto a live run's name, and reusing it would
+/// overwrite that run's files (and any cache entry's factors with them).
 pub(crate) fn fresh_run_id(cluster: &Cluster) -> RunId {
-    RunId::new(format!("mrinv/run-{}", cluster.dfs.file_count()))
+    (cluster.dfs.file_count()..)
+        .map(|k| RunId::new(format!("mrinv/run-{k}")))
+        .find(|run| cluster.dfs.list(run.dir()).is_empty())
+        .expect("some run directory is free")
 }
 
 pub(crate) fn make_driver<'c>(

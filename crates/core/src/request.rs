@@ -100,6 +100,8 @@ pub struct Request<'a> {
     run: Option<RunId>,
     mode: Checkpoint,
     cache: Option<&'a FactorCache>,
+    /// [`cache_key`] of this request when the caller already hashed it.
+    key: Option<u64>,
 }
 
 impl<'a> Request<'a> {
@@ -112,6 +114,7 @@ impl<'a> Request<'a> {
             run: None,
             mode: Checkpoint::Disabled,
             cache: None,
+            key: None,
         }
     }
 
@@ -195,6 +198,20 @@ impl<'a> Request<'a> {
         self
     }
 
+    /// Supplies the request's [`cache_key`], computed once by a caller
+    /// that needs it anyway (the service keys its queues by it), so the
+    /// matrix is hashed once per request rather than at every cache touch.
+    pub(crate) fn cache_key(mut self, key: u64) -> Self {
+        self.key = Some(key);
+        self
+    }
+
+    /// This request's cache key: the supplied one, else hashed now.
+    fn key(&self, cluster: &Cluster) -> u64 {
+        self.key
+            .unwrap_or_else(|| cache_key(self.a, &self.cfg, cluster))
+    }
+
     /// Executes the request on `cluster`.
     ///
     /// Cold runs are bit-identical to the historical free functions: the
@@ -219,14 +236,14 @@ impl<'a> Request<'a> {
                 "a solve request needs at least one right-hand side (Request::rhs)".to_string(),
             ));
         }
-        if let Some(cache) = self.cache {
-            let key = cache_key(self.a, &self.cfg, cluster);
+        let key = self.cache.map(|_| self.key(cluster));
+        if let (Some(cache), Some(key)) = (self.cache, key) {
             let need_inverse = self.op == Op::Invert;
             if let Some(view) = cache.lookup(key, need_inverse, &cluster.dfs) {
                 return self.serve_hit(cluster, cache, key, view, n);
             }
         }
-        self.run_pipeline(cluster, n)
+        self.run_pipeline(cluster, n, key)
     }
 
     /// Serves the request from the attached cache if (and only if) a
@@ -252,7 +269,7 @@ impl<'a> Request<'a> {
         let Some(cache) = self.cache else {
             return Ok(None);
         };
-        let key = cache_key(self.a, &self.cfg, cluster);
+        let key = self.key(cluster);
         let need_inverse = self.op == Op::Invert;
         match cache.peek(key, need_inverse, &cluster.dfs) {
             Some(view) => self.serve_hit(cluster, cache, key, view, n).map(Some),
@@ -309,7 +326,8 @@ impl<'a> Request<'a> {
     }
 
     /// The cold path: the exact pipeline the historical entry points ran.
-    fn run_pipeline(self, cluster: &Cluster, n: usize) -> Result<Outcome> {
+    /// `key` is the cache key when a cache is attached.
+    fn run_pipeline(self, cluster: &Cluster, n: usize, key: Option<u64>) -> Result<Outcome> {
         let run = match &self.run {
             Some(run) => run.clone(),
             None => fresh_run_id(cluster),
@@ -376,8 +394,7 @@ impl<'a> Request<'a> {
             solutions.push(substitute(f, b)?);
         }
 
-        if let Some(cache) = self.cache {
-            let key = cache_key(self.a, &self.cfg, cluster);
+        if let (Some(cache), Some(key)) = (self.cache, key) {
             cache.insert(
                 key,
                 self.cfg.nb,

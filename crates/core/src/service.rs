@@ -3,14 +3,33 @@
 //! A long-running daemon that accepts concurrent [`crate::Request`]-shaped
 //! work over TCP — `invert(A)`, `lu(A)`, `solve(A, b…)` — from many
 //! tenants against one shared [`Cluster`], backed by one shared
-//! [`FactorCache`]. The wire protocol reuses the worker backend's frame
-//! format (`u32` little-endian length, one tag byte, bincode body; see
-//! [`crate::exec_registry`]'s TCP backend), with two tags:
+//! [`FactorCache`]. The wire protocol uses the worker backend's frame
+//! format ([`mrinv_mapreduce::wire`]: `u32` little-endian length, one tag
+//! byte, body) with two tags, `1` for a request (→) and `2` for a
+//! response (←). Bodies are laid out by hand, the same way the worker
+//! protocol lays out its DFS operations:
 //!
-//! | dir | tag | frame      | body                     |
-//! |-----|-----|------------|--------------------------|
-//! | →   | 1   | `Request`  | bincode [`WireRequest`]  |
-//! | ←   | 2   | `Response` | bincode [`WireResponse`] |
+//! * scalars are fixed-width little-endian (`u64`, `f64` by bit
+//!   pattern), flags one byte each (0 or 1);
+//! * a string is a `u64` length, then UTF-8;
+//! * a matrix is `u64` rows, `u64` cols, then `rows·cols` raw `f64`s in
+//!   row-major order (written straight from the entry slice, read
+//!   straight into one vector);
+//! * an optional matrix is a presence flag, then the matrix;
+//! * a vector is a `u64` count, then the raw values; a list of vectors is
+//!   a `u64` count, then each vector.
+//!
+//! | frame (tag) | body, in order                                              |
+//! |-------------|-------------------------------------------------------------|
+//! | request (1) | tenant, `id`, op byte (0 invert, 1 lu, 2 solve), `nb`,      |
+//! |             | three [`Optimizations`] flags, `a`, right-hand sides        |
+//! | response (2)| `id`, `ok` flag, error string, `cache_hit` flag, `jobs`,    |
+//! |             | `sim_secs`, optional inverse, optional `L`, optional `U`,   |
+//! |             | `perm` (`u64` values), solutions                            |
+//!
+//! A matrix therefore costs its payload bytes plus 16, and the decoder
+//! checks every length against the bytes that remain before allocating,
+//! then rejects trailing bytes. Any malformed frame drops the connection.
 //!
 //! # Threading model
 //!
@@ -38,7 +57,6 @@
 //! whole batch from a single factorization + substitution pass.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,49 +65,23 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use mrinv_mapreduce::obs::Labels;
+use mrinv_mapreduce::wire::{
+    put_f64_vec, put_f64s, put_string, put_u64, read_frame, write_frame, DecodeError, Decoder,
+};
 use mrinv_mapreduce::Cluster;
-use mrinv_matrix::io::{decode_binary, encode_binary};
 use mrinv_matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{cache_key, CacheStats, FactorCache};
 use crate::config::{InversionConfig, Optimizations};
 use crate::error::{CoreError, Result};
+use crate::inverse::fresh_run_id;
 use crate::request::{CacheStatus, Op, Outcome, Request};
 
 pub(crate) const TAG_REQUEST: u8 = 1;
 pub(crate) const TAG_RESPONSE: u8 = 2;
 
-/// Writes one `len ∥ tag ∥ body` frame.
-pub(crate) fn write_frame(stream: &mut TcpStream, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let len = (body.len() + 1) as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&[tag])?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// Reads one frame, returning `(tag, body)`.
-pub(crate) fn read_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "zero-length frame",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    let tag = body[0];
-    body.drain(..1);
-    Ok((tag, body))
-}
-
-/// The operation field of a [`WireRequest`] (unit variants only — the
-/// vendored codec's enum support).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The operation field of a [`WireRequest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireOp {
     /// Full inversion.
     Invert,
@@ -107,11 +99,95 @@ impl WireOp {
             WireOp::Solve => Op::Solve,
         }
     }
+
+    fn byte(self) -> u8 {
+        match self {
+            WireOp::Invert => 0,
+            WireOp::Lu => 1,
+            WireOp::Solve => 2,
+        }
+    }
+
+    fn from_byte(b: u8) -> std::result::Result<WireOp, DecodeError> {
+        match b {
+            0 => Ok(WireOp::Invert),
+            1 => Ok(WireOp::Lu),
+            2 => Ok(WireOp::Solve),
+            _ => Err(DecodeError(format!("unknown op byte {b}"))),
+        }
+    }
 }
 
-/// One request frame. Matrices ride as the binary codec's bytes
-/// (bit-exact `f64`s), the configuration as its unpacked fields.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+fn put_bool(buf: &mut Vec<u8>, b: bool) {
+    buf.push(b as u8);
+}
+
+fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
+    put_u64(buf, m.rows() as u64);
+    put_u64(buf, m.cols() as u64);
+    put_f64s(buf, m.as_slice());
+}
+
+fn get_matrix(d: &mut Decoder<'_>) -> std::result::Result<Matrix, DecodeError> {
+    let (rows, cols) = (d.u64()?, d.u64()?);
+    let len = rows
+        .checked_mul(cols)
+        .and_then(|len| usize::try_from(len).ok())
+        .ok_or_else(|| DecodeError(format!("matrix shape {rows}x{cols} overflows")))?;
+    let vals = d.f64s(len)?;
+    Matrix::from_vec(rows as usize, cols as usize, vals).map_err(|e| DecodeError(e.to_string()))
+}
+
+fn put_opt_matrix(buf: &mut Vec<u8>, m: Option<&Matrix>) {
+    put_bool(buf, m.is_some());
+    if let Some(m) = m {
+        put_matrix(buf, m);
+    }
+}
+
+fn get_opt_matrix(d: &mut Decoder<'_>) -> std::result::Result<Option<Matrix>, DecodeError> {
+    d.bool()?.then(|| get_matrix(d)).transpose()
+}
+
+fn put_vectors(buf: &mut Vec<u8>, vs: &[Vec<f64>]) {
+    put_u64(buf, vs.len() as u64);
+    for v in vs {
+        put_f64_vec(buf, v);
+    }
+}
+
+fn get_vectors(d: &mut Decoder<'_>) -> std::result::Result<Vec<Vec<f64>>, DecodeError> {
+    // Each vector costs at least its 8-byte count.
+    let n = d.count(8)?;
+    (0..n).map(|_| d.f64_vec()).collect()
+}
+
+/// Encodes a request body from borrowed parts, so a client sends its
+/// matrix without copying it into a [`WireRequest`] first.
+pub(crate) fn encode_request(
+    tenant: &str,
+    id: u64,
+    op: WireOp,
+    a: &Matrix,
+    rhs: &[Vec<f64>],
+    cfg: &InversionConfig,
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 * a.as_slice().len() + 128);
+    put_string(&mut buf, tenant);
+    put_u64(&mut buf, id);
+    buf.push(op.byte());
+    put_u64(&mut buf, cfg.nb as u64);
+    put_bool(&mut buf, cfg.opts.separate_intermediate_files);
+    put_bool(&mut buf, cfg.opts.block_wrap);
+    put_bool(&mut buf, cfg.opts.transpose_u);
+    put_matrix(&mut buf, a);
+    put_vectors(&mut buf, rhs);
+    buf
+}
+
+/// One request frame. The matrix crosses as its raw `f64`s (bit-exact),
+/// the configuration as its unpacked fields.
+#[derive(Debug, Clone)]
 pub struct WireRequest {
     /// Tenant the request is accounted (and admission-controlled) under.
     pub tenant: String,
@@ -119,8 +195,8 @@ pub struct WireRequest {
     pub id: u64,
     /// Which computation to run.
     pub op: WireOp,
-    /// The input matrix, encoded with the binary codec.
-    pub a: Vec<u8>,
+    /// The input matrix.
+    pub a: Matrix,
     /// Right-hand sides (required for `Solve`, optional otherwise).
     pub rhs: Vec<Vec<f64>>,
     /// Block bound `nb`.
@@ -134,19 +210,54 @@ pub struct WireRequest {
 }
 
 impl WireRequest {
-    fn config(&self) -> InversionConfig {
-        let mut cfg = InversionConfig::with_nb(self.nb as usize);
-        cfg.opts = Optimizations {
+    fn opts(&self) -> Optimizations {
+        Optimizations {
             separate_intermediate_files: self.separate_intermediate_files,
             block_wrap: self.block_wrap,
             transpose_u: self.transpose_u,
+        }
+    }
+
+    /// The request's inversion configuration; `None` when `nb` is 0.
+    fn config(&self) -> Option<InversionConfig> {
+        (self.nb > 0).then(|| InversionConfig {
+            nb: self.nb as usize,
+            opts: self.opts(),
+        })
+    }
+
+    /// The frame body (see the module docs for the layout).
+    pub fn encode(&self) -> Vec<u8> {
+        let cfg = InversionConfig {
+            nb: self.nb as usize,
+            opts: self.opts(),
         };
-        cfg
+        encode_request(&self.tenant, self.id, self.op, &self.a, &self.rhs, &cfg)
+    }
+
+    /// Parses a frame body, rejecting truncation, impossible lengths and
+    /// trailing bytes.
+    pub fn decode(body: &[u8]) -> std::result::Result<WireRequest, DecodeError> {
+        let mut d = Decoder::new(body);
+        let req = WireRequest {
+            tenant: d.string()?,
+            id: d.u64()?,
+            op: WireOp::from_byte(d.u8()?)?,
+            nb: d.u64()?,
+            separate_intermediate_files: d.bool()?,
+            block_wrap: d.bool()?,
+            transpose_u: d.bool()?,
+            a: get_matrix(&mut d)?,
+            rhs: get_vectors(&mut d)?,
+        };
+        d.finish()?;
+        Ok(req)
     }
 }
 
-/// One response frame. Empty byte vectors stand for absent matrices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One response frame. `None` stands for a matrix the operation does not
+/// return.
+#[derive(Debug, Clone)]
 pub struct WireResponse {
     /// Echo of [`WireRequest::id`].
     pub id: u64,
@@ -157,12 +268,12 @@ pub struct WireResponse {
     pub error: String,
     /// Whether the factor cache served this request.
     pub cache_hit: bool,
-    /// The inverse (invert requests), binary-encoded; empty otherwise.
-    pub inverse: Vec<u8>,
-    /// `L` (lu requests), binary-encoded; empty otherwise.
-    pub l: Vec<u8>,
-    /// `U` (lu requests), binary-encoded; empty otherwise.
-    pub u: Vec<u8>,
+    /// The inverse (invert requests).
+    pub inverse: Option<Matrix>,
+    /// `L` (lu requests).
+    pub l: Option<Matrix>,
+    /// `U` (lu requests).
+    pub u: Option<Matrix>,
     /// Pivot sources (lu requests): entry `i` of `P·A` is row `perm[i]`
     /// of `A`. Empty otherwise.
     pub perm: Vec<u64>,
@@ -181,9 +292,9 @@ impl WireResponse {
             ok: false,
             error: message.into(),
             cache_hit: false,
-            inverse: Vec::new(),
-            l: Vec::new(),
-            u: Vec::new(),
+            inverse: None,
+            l: None,
+            u: None,
             perm: Vec::new(),
             solutions: Vec::new(),
             jobs: 0,
@@ -191,31 +302,77 @@ impl WireResponse {
         }
     }
 
-    fn from_outcome(id: u64, out: &Outcome) -> WireResponse {
-        let (l, u, perm) = match out.factors() {
-            Some(f) => (
-                encode_binary(&f.l).to_vec(),
-                encode_binary(&f.u).to_vec(),
-                f.perm.as_slice().iter().map(|&s| s as u64).collect(),
-            ),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
+    /// The response for `out`, carrying `solutions` (the requester's share
+    /// of a batched solve).
+    fn from_outcome(id: u64, out: &Outcome, solutions: &[Vec<f64>]) -> WireResponse {
+        let factors = out.factors();
         WireResponse {
             id,
             ok: true,
             error: String::new(),
             cache_hit: out.cache == CacheStatus::Hit,
-            inverse: out
-                .inverse()
-                .map(|m| encode_binary(m).to_vec())
-                .unwrap_or_default(),
-            l,
-            u,
-            perm,
-            solutions: out.solutions().to_vec(),
+            inverse: out.inverse().cloned(),
+            l: factors.map(|f| f.l.clone()),
+            u: factors.map(|f| f.u.clone()),
+            perm: factors.map_or_else(Vec::new, |f| {
+                f.perm.as_slice().iter().map(|&s| s as u64).collect()
+            }),
+            solutions: solutions.to_vec(),
             jobs: out.report.jobs,
             sim_secs: out.report.sim_secs,
         }
+    }
+
+    /// The frame body (see the module docs for the layout).
+    pub fn encode(&self) -> Vec<u8> {
+        let matrices = [&self.inverse, &self.l, &self.u];
+        let matrix_bytes: usize = matrices
+            .iter()
+            .flat_map(|m| m.iter())
+            .map(|m| 8 * m.as_slice().len())
+            .sum();
+        let mut buf = Vec::with_capacity(matrix_bytes + 128);
+        put_u64(&mut buf, self.id);
+        put_bool(&mut buf, self.ok);
+        put_string(&mut buf, &self.error);
+        put_bool(&mut buf, self.cache_hit);
+        put_u64(&mut buf, self.jobs);
+        put_u64(&mut buf, self.sim_secs.to_bits());
+        for m in matrices {
+            put_opt_matrix(&mut buf, m.as_ref());
+        }
+        put_u64(&mut buf, self.perm.len() as u64);
+        for &p in &self.perm {
+            put_u64(&mut buf, p);
+        }
+        put_vectors(&mut buf, &self.solutions);
+        buf
+    }
+
+    /// Parses a frame body, rejecting truncation, impossible lengths and
+    /// trailing bytes.
+    pub fn decode(body: &[u8]) -> std::result::Result<WireResponse, DecodeError> {
+        let mut d = Decoder::new(body);
+        let resp = WireResponse {
+            id: d.u64()?,
+            ok: d.bool()?,
+            error: d.string()?,
+            cache_hit: d.bool()?,
+            jobs: d.u64()?,
+            sim_secs: d.f64()?,
+            inverse: get_opt_matrix(&mut d)?,
+            l: get_opt_matrix(&mut d)?,
+            u: get_opt_matrix(&mut d)?,
+            perm: {
+                let n = d.count(8)?;
+                (0..n)
+                    .map(|_| d.u64())
+                    .collect::<std::result::Result<_, _>>()?
+            },
+            solutions: get_vectors(&mut d)?,
+        };
+        d.finish()?;
+        Ok(resp)
     }
 }
 
@@ -334,8 +491,9 @@ impl Shared {
         self.cluster.metrics.obs().counter(name, &labels).add(1);
     }
 
-    /// Per-request accounting with the request-id label dimension.
-    fn note_served(&self, tenant: &str, id: u64, op: Op, out: &Outcome) {
+    /// Per-request accounting. Labels stay bounded (tenant and operation):
+    /// per-request detail belongs in traces, not in metric series.
+    fn note_served(&self, tenant: &str, op: Op, out: &Outcome) {
         self.served.fetch_add(1, Ordering::Relaxed);
         let verdict = match out.cache {
             CacheStatus::Hit => "mrinv_service_cache_hits_total",
@@ -343,15 +501,6 @@ impl Shared {
             CacheStatus::Bypass => return,
         };
         self.count(verdict, tenant, op.name());
-        let labels = Labels::new()
-            .tenant(tenant)
-            .request(id.to_string())
-            .task_kind(op.name());
-        let obs = self.cluster.metrics.obs();
-        obs.gauge("mrinv_service_request_jobs", &labels)
-            .set(out.report.jobs as f64);
-        obs.gauge("mrinv_service_request_sim_secs", &labels)
-            .set(out.report.sim_secs);
     }
 }
 
@@ -503,43 +652,45 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
         if tag != TAG_REQUEST {
             return;
         }
-        let req = match bincode::deserialize::<WireRequest>(&body) {
+        let req = match WireRequest::decode(&body) {
             Ok(r) => r,
             Err(_) => return,
         };
+        drop(body);
         let resp = serve_request(shared, req);
-        let body = bincode::serialize(&resp);
-        if write_frame(stream, TAG_RESPONSE, &body).is_err() {
+        if write_frame(stream, TAG_RESPONSE, &resp.encode()).is_err() {
             return;
         }
     }
 }
 
 /// Serves one decoded request: cache hits inline, cold work through the
-/// executor queue.
+/// executor queue. The matrix is hashed once, here; the probe, the queue
+/// and the executor's run all reuse that key.
 fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
     let op = req.op.op();
     shared.count("mrinv_service_requests_total", &req.tenant, op.name());
-    let a = match decode_binary(&req.a) {
-        Ok(a) => a,
-        Err(e) => return WireResponse::err(req.id, format!("bad matrix: {e}")),
+    let Some(cfg) = req.config() else {
+        return WireResponse::err(req.id, "bound value nb must be at least 1");
     };
-    let cfg = req.config();
+    if let Err(e) = req.a.order() {
+        return WireResponse::err(req.id, e.to_string());
+    }
+    let key = cache_key(&req.a, &cfg, &shared.cluster);
 
     // Fast path: serve a cache hit right here, concurrently with
     // whatever the executor is doing (hits never touch driver state).
-    let probe = build_request(&a, op, &req.rhs, &cfg).cache(&shared.cache);
+    let probe = build_request(&req.a, op, &req.rhs, &cfg, key).cache(&shared.cache);
     match probe.submit_cached_only(&shared.cluster) {
         Err(e) => return WireResponse::err(req.id, e.to_string()),
         Ok(Some(out)) => {
-            shared.note_served(&req.tenant, req.id, op, &out);
-            return WireResponse::from_outcome(req.id, &out);
+            shared.note_served(&req.tenant, op, &out);
+            return WireResponse::from_outcome(req.id, &out, out.solutions());
         }
         Ok(None) => {}
     }
 
     // Cold: admission-check, queue for the executor, wait.
-    let key = cache_key(&a, &cfg, &shared.cluster);
     let (tx, rx) = mpsc::channel();
     {
         let mut queues = shared.queues.lock().expect("queues lock");
@@ -557,10 +708,10 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
             );
         }
         queues.push(QueuedJob {
-            tenant: req.tenant.clone(),
+            tenant: req.tenant,
             id: req.id,
             op,
-            a,
+            a: req.a,
             rhs: req.rhs,
             cfg,
             key,
@@ -579,13 +730,14 @@ fn build_request<'a>(
     op: Op,
     rhs: &[Vec<f64>],
     cfg: &InversionConfig,
+    key: u64,
 ) -> Request<'a> {
     let req = match op {
         Op::Invert => Request::invert(a),
         Op::Lu => Request::lu(a),
         Op::Solve => Request::solve(a),
     };
-    req.rhs_all(rhs.iter().cloned()).config(cfg)
+    req.rhs_all(rhs.iter().cloned()).config(cfg).cache_key(key)
 }
 
 /// The single pipeline executor: pops jobs tenant-round-robin, batches
@@ -631,6 +783,11 @@ fn executor_loop(shared: &Arc<Shared>) {
 
 /// Runs `job` (plus any batched same-key solves) through one pipeline /
 /// substitution pass and answers every participant.
+///
+/// A cold run keeps only what the cache references: its run directory is
+/// pruned down to the entry's factor forest (the inverse is held in
+/// memory), factor files an upgraded entry stopped referencing are
+/// deleted, and a failed run's directory is removed whole.
 fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
     // Merge the batch's right-hand sides behind the leader's, remembering
     // each participant's slice.
@@ -641,8 +798,12 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
         rhs.extend(follower.rhs.iter().cloned());
     }
 
+    let dfs = &shared.cluster.dfs;
+    let replaced = shared.cache.factor_paths(job.key);
+    let run = fresh_run_id(&shared.cluster);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        build_request(&job.a, job.op, &rhs, &job.cfg)
+        build_request(&job.a, job.op, &rhs, &job.cfg, job.key)
+            .workdir(&run)
             .cache(&shared.cache)
             .submit(&shared.cluster)
     }));
@@ -655,18 +816,21 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
 
     match outcome {
         Ok(out) => {
-            let participants: Vec<(&QueuedJob, (usize, usize))> = std::iter::once(&job)
-                .chain(batch.iter())
-                .zip(spans)
-                .collect();
-            for (member, (start, len)) in participants {
-                let mut resp = WireResponse::from_outcome(member.id, &out);
-                resp.solutions = out.solutions()[start..start + len].to_vec();
-                shared.note_served(&member.tenant, member.id, member.op, &out);
+            if out.cache == CacheStatus::Miss {
+                shared.cache.prune_run(job.key, &replaced, dfs);
+            }
+            for (member, (start, len)) in std::iter::once(&job).chain(batch.iter()).zip(spans) {
+                let resp = WireResponse::from_outcome(
+                    member.id,
+                    &out,
+                    &out.solutions()[start..start + len],
+                );
+                shared.note_served(&member.tenant, member.op, &out);
                 let _ = member.resp.send(resp);
             }
         }
         Err(e) => {
+            dfs.delete_dir(run.dir());
             let message = e.to_string();
             for member in std::iter::once(&job).chain(batch.iter()) {
                 let _ = member
@@ -680,6 +844,11 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ServiceClient;
+    use mrinv_mapreduce::dfs::normalize_path;
+    use mrinv_mapreduce::{ClusterConfig, CostModel};
+    use mrinv_matrix::random::random_well_conditioned;
+    use std::collections::BTreeSet;
 
     fn job(tenant: &str, id: u64, op: Op, key: u64) -> (QueuedJob, mpsc::Receiver<WireResponse>) {
         let (tx, rx) = mpsc::channel();
@@ -744,25 +913,90 @@ mod tests {
             tenant: "t".to_string(),
             id: 9,
             op: WireOp::Solve,
-            a: encode_binary(&Matrix::identity(3)).to_vec(),
+            a: Matrix::identity(3),
             rhs: vec![vec![1.0, 2.0, 3.0]],
             nb: 2,
             separate_intermediate_files: true,
             block_wrap: false,
             transpose_u: true,
         };
-        let back = bincode::deserialize::<WireRequest>(&bincode::serialize(&req)).unwrap();
+        let body = req.encode();
+        // Payload plus a fixed header: no per-element framing.
+        assert_eq!(
+            body.len(),
+            8 + 1 + 8 + 1 + 8 + 3 + 16 + 9 * 8 + 8 + 8 + 3 * 8
+        );
+        let back = WireRequest::decode(&body).unwrap();
         assert_eq!(back.tenant, "t");
         assert_eq!(back.op, WireOp::Solve);
         assert_eq!(back.rhs, req.rhs);
-        assert_eq!(back.config().nb, 2);
-        assert!(back.config().opts.separate_intermediate_files);
-        assert!(!back.config().opts.block_wrap);
+        assert_eq!(back.a, req.a);
+        let cfg = back.config().unwrap();
+        assert_eq!(cfg.nb, 2);
+        assert!(cfg.opts.separate_intermediate_files);
+        assert!(!cfg.opts.block_wrap);
+        assert!(WireRequest { nb: 0, ..back }.config().is_none());
 
         let resp = WireResponse::err(9, "nope");
-        let back = bincode::deserialize::<WireResponse>(&bincode::serialize(&resp)).unwrap();
+        let back = WireResponse::decode(&resp.encode()).unwrap();
         assert!(!back.ok);
         assert_eq!(back.id, 9);
         assert_eq!(back.error, "nope");
+        assert!(back.inverse.is_none() && back.l.is_none() && back.u.is_none());
+    }
+
+    /// After cold service requests — invert, lu and solve misses, an
+    /// invert that upgrades an lu-primed entry, and a failing request —
+    /// the DFS holds exactly the union of the cached entries' factor
+    /// files, and every entry still serves correct answers.
+    #[test]
+    fn cold_runs_leave_exactly_the_cached_factor_files() {
+        let mut ccfg = ClusterConfig::medium(4);
+        ccfg.cost = CostModel::unit_for_tests();
+        let cluster = Arc::new(Cluster::new(ccfg));
+        let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
+        let mut client = ServiceClient::connect(&handle.addr().to_string(), "t").unwrap();
+        let cfg = InversionConfig::with_nb(8);
+        let mats: Vec<Matrix> = (0..4)
+            .map(|i| random_well_conditioned(32, 70 + i))
+            .collect();
+        let b: Vec<f64> = (0..32).map(|i| i as f64 - 3.0).collect();
+
+        client.invert(&mats[0], &cfg).unwrap();
+        client.lu(&mats[1], &cfg).unwrap();
+        client
+            .solve(&mats[2], std::slice::from_ref(&b), &cfg)
+            .unwrap();
+        let upgraded = client.invert(&mats[1], &cfg).unwrap();
+        assert!(!upgraded.cache_hit, "no inverse cached yet");
+        client.invert(&mats[3], &cfg).unwrap();
+        let singular = Matrix::zeros(32, 32);
+        assert!(client.invert(&singular, &cfg).is_err());
+
+        let want: BTreeSet<String> = mats
+            .iter()
+            .flat_map(|m| {
+                let key = cache_key(m, &cfg, &cluster);
+                handle.shared.cache.factor_paths(key)
+            })
+            .map(|p| normalize_path(&p))
+            .collect();
+        assert!(!want.is_empty());
+        let have: BTreeSet<String> = cluster.dfs.list("").into_iter().collect();
+        assert_eq!(have, want);
+        assert_eq!(handle.cache_stats().entries, 4);
+
+        for m in &mats {
+            let reply = client.solve(m, std::slice::from_ref(&b), &cfg).unwrap();
+            assert!(reply.cache_hit);
+            let res = m
+                .mul_vec(&reply.solutions[0])
+                .unwrap()
+                .iter()
+                .zip(&b)
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, f64::max);
+            assert!(res < 1e-9, "residual {res}");
+        }
     }
 }

@@ -41,7 +41,10 @@
 //! * [`obs`] — the labeled metric registry (counters, gauges, log-bucketed
 //!   histograms keyed by `{job, wave, node, task-kind, gemm-backend}`),
 //!   Prometheus/JSON export, and the cost-model audit report types
-//!   (off by default; see [`cluster::ClusterConfig::observability`]).
+//!   (off by default; see [`cluster::ClusterConfig::observability`]);
+//! * [`wire`] — the one TCP frame codec (`u32` length ∥ tag ∥ body) and a
+//!   bounds-checked body decoder, shared by the worker backend and the
+//!   inversion service.
 //!
 //! # Simulated time
 //!
@@ -69,6 +72,7 @@ pub mod scheduler;
 pub mod shuffle;
 pub mod simtime;
 pub mod tracelog;
+pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig, SchedulingMode};
 pub use dfs::Dfs;
